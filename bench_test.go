@@ -257,8 +257,8 @@ func BenchmarkSQLGeneration(b *testing.B) {
 }
 
 // BenchmarkAblationPipeline isolates streaming path-chain fusion: Q13's
-// plan is almost entirely path extraction, evaluated with the fused
-// iterators of package pipeline versus one materialized relation per
+// plan is almost entirely path extraction, evaluated with the fused batch
+// kernels of package pipeline versus one materialized relation per
 // operator.
 func BenchmarkAblationPipeline(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.01, Seed: 20030609})
@@ -356,29 +356,22 @@ func BenchmarkShred(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchChain compares the batch-at-a-time path-chain runtime
-// against the tuple-at-a-time iterators it replaced (core's
-// ScalarPipeline switch) on Q13, the path-and-construction workload whose
-// chains dominate. Run with -benchmem: the batched side's win is chiefly
-// allocations (chunked columnar buffers vs per-tuple key views).
+// BenchmarkBatchChain measures the batch-at-a-time path-chain runtime on
+// Q13, the path-and-construction workload whose chains dominate. Run with
+// -benchmem: the chunked columnar buffers keep allocations per run low.
 func BenchmarkBatchChain(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{ScaleFactor: 0.002, Seed: 20030609})
 	cat := core.Catalog{"auction.xml": interval.Encode(doc)}
 	q := core.Compile(xq.MustParse(xmark.Q13), core.Options{})
-	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := core.Options{ForceJoinMode: core.ModeMSJ, ScalarPipeline: v.scalar}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Eval(cat, opts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("batched", func(b *testing.B) {
+		opts := core.Options{ForceJoinMode: core.ModeMSJ}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := q.Eval(cat, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkExternalSort measures the structural sort with and without a

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"dixq"
@@ -52,7 +53,7 @@ func main() {
 	showCore := flag.Bool("core", false, "print the desugared core expression and exit")
 	showWidth := flag.Bool("width", false, "print the Section 4.3 width analysis and exit")
 	stats := flag.Bool("stats", false, "print the phase breakdown after the result")
-	trace := flag.Bool("trace", false, "print per-operator statistics after the result (DI engines)")
+	trace := flag.Bool("trace", false, "print the per-operator table of an analyzed run after the result (DI engines)")
 	indent := flag.Bool("indent", false, "pretty-print the result")
 	timeout := flag.Duration("timeout", 0, "abort evaluation after this duration")
 	interactive := flag.Bool("i", false, "interactive session: read queries from stdin, each ended by an empty line")
@@ -145,10 +146,14 @@ func parseEngine(name string) (dixq.Engine, error) {
 
 func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
 	opts := &dixq.Options{Engine: cfg.engine, Timeout: cfg.timeout}
-	if cfg.trace {
-		opts.Trace = &dixq.Trace{}
+	var res *dixq.Result
+	var ops []dixq.OperatorStat
+	var err error
+	if cfg.trace && cfg.engine != dixq.Interpreter && cfg.engine != dixq.GenericSQL {
+		res, ops, err = q.RunAnalyzed(cat, opts)
+	} else {
+		res, err = q.Run(cat, opts)
 	}
-	res, err := q.Run(cat, opts)
 	if err != nil {
 		return err
 	}
@@ -157,8 +162,8 @@ func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
 	} else {
 		fmt.Println(res.XML())
 	}
-	if cfg.trace && opts.Trace != nil {
-		fmt.Fprint(os.Stderr, opts.Trace.String())
+	if ops != nil {
+		printOperators(ops)
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr, "elapsed: %v\n", res.Elapsed.Round(time.Microsecond))
@@ -169,6 +174,19 @@ func runOnce(q *dixq.Query, cat *dixq.Catalog, cfg config) error {
 		}
 	}
 	return nil
+}
+
+// printOperators writes the per-operator table of an analyzed run to
+// stderr in plan preorder: the same per-plan-node actuals that POST
+// /explain with analyze reports. Times are exclusive and sum to the
+// evaluation's total.
+func printOperators(ops []dixq.OperatorStat) {
+	w := tabwriter.NewWriter(os.Stderr, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(w, "id\tcalls\trows\ttime\tallocs\t\toperator")
+	for _, o := range ops {
+		fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%d\t\t%s\n", o.ID, o.Calls, o.Rows, o.Time.Round(time.Microsecond), o.Allocs, o.Op)
+	}
+	w.Flush()
 }
 
 // repl reads queries from stdin, each terminated by an empty line, until

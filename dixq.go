@@ -255,9 +255,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxTuples aborts DI evaluation after this many embedded tuples.
 	MaxTuples int64
-	// Trace, when non-nil, collects per-operator statistics (DI engines
-	// only).
-	Trace *Trace
 	// Parallelism bounds the workers of the intra-query parallel runtime
 	// (DI engines): morsel-parallel fused path chains, the parallel
 	// structural sorts, and the concurrent merge-join sort phase. Zero (the
@@ -267,13 +264,6 @@ type Options struct {
 	// queries, so a query may be granted fewer. Results are digit-identical
 	// at any setting and any grant.
 	Parallelism int
-	// LegacyKeys selects the per-key-allocation operator implementations
-	// instead of the flat shared-buffer layout (DI engines; output is
-	// identical — the switch exists for differential benchmarking).
-	LegacyKeys bool
-	// NoPipeline disables streaming fusion of path-operator chains, forcing
-	// every operator to materialize its output (DI engines).
-	NoPipeline bool
 	// MemBudget bounds the accounted in-memory footprint of the structural
 	// sorts and merge-join sort state, in bytes (DI engines); inputs over
 	// the budget are sorted externally, spilling runs to SpillDir. Zero
@@ -287,10 +277,6 @@ type Options struct {
 	// BatchSize is the chunk row count of the batch-executed path chains
 	// (DI engines; 0 selects the default of 256).
 	BatchSize int
-	// ScalarPipeline executes path chains through the tuple-at-a-time
-	// iterators instead of the batch kernels (DI engines; output is
-	// identical — the switch exists for differential benchmarking).
-	ScalarPipeline bool
 }
 
 // coreOptions maps the public Options onto the internal executor's
@@ -300,19 +286,15 @@ type Options struct {
 // cardinalities.
 func (opts *Options) coreOptions(mode core.Mode, snap *Snapshot) core.Options {
 	return core.Options{
-		ForceJoinMode:  mode,
-		Indexes:        snap.idx,
-		DocStats:       snap.st,
-		Timeout:        opts.Timeout,
-		MaxTuples:      opts.MaxTuples,
-		Trace:          opts.Trace,
-		Parallelism:    opts.Parallelism,
-		LegacyKeys:     opts.LegacyKeys,
-		NoPipeline:     opts.NoPipeline,
-		MemBudget:      opts.MemBudget,
-		SpillDir:       opts.SpillDir,
-		BatchSize:      opts.BatchSize,
-		ScalarPipeline: opts.ScalarPipeline,
+		ForceJoinMode: mode,
+		Indexes:       snap.idx,
+		DocStats:      snap.st,
+		Timeout:       opts.Timeout,
+		MaxTuples:     opts.MaxTuples,
+		Parallelism:   opts.Parallelism,
+		MemBudget:     opts.MemBudget,
+		SpillDir:      opts.SpillDir,
+		BatchSize:     opts.BatchSize,
 	}
 }
 
@@ -337,11 +319,6 @@ var ErrBudgetExceeded = engine.ErrBudgetExceeded
 // paper): time in path extraction, join/environment machinery, and result
 // construction, plus join-strategy counters.
 type Stats = core.Stats
-
-// Trace collects per-operator execution statistics for a DI run — the
-// engine's EXPLAIN ANALYZE. Attach one via Options.Trace and print it
-// (or inspect Entries) after the run.
-type Trace = core.Trace
 
 // Result is a query answer.
 type Result struct {
@@ -439,19 +416,6 @@ func (q *Query) RunAnalyzed(cat View, opts *Options) (*Result, []OperatorStat, e
 	}
 	res := &Result{doc: &Document{forest: f}, Stats: stats, Elapsed: time.Since(start)}
 	return res, plan.Operators(q.q.Plan(copts), rs), nil
-}
-
-// PlanText renders the physical plan the query executes under the given
-// options, without running it.
-func (q *Query) PlanText(opts *Options) (string, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	mode, ok := diMode(opts.Engine)
-	if !ok {
-		return "", fmt.Errorf("dixq: plans exist for the DI engines only, got %s", opts.Engine)
-	}
-	return q.q.Plan(core.Options{ForceJoinMode: mode, NoPipeline: opts.NoPipeline}).Tree(), nil
 }
 
 // OptimizerReport is the cost-based optimizer's account of one planning

@@ -215,20 +215,44 @@ func TestDocumentFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceOption(t *testing.T) {
+// TestRunAnalyzed pins the per-operator channel behind dixq -trace: the
+// analyzed run returns the same answer as a plain run plus one row per
+// plan operator, and only DI engines can be analyzed.
+func TestRunAnalyzed(t *testing.T) {
 	cat := figureCatalog(t)
-	trace := &Trace{}
-	// MergeJoin is forced: under the cost-based default the optimizer
-	// demotes the merge joins on a document this small, and the test
-	// asserts merge-join trace entries.
-	if _, err := Run(XMarkQ8, cat, &Options{Engine: MergeJoin, Trace: trace}); err != nil {
+	q, err := ParseQuery(XMarkQ8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Entries()) == 0 {
-		t.Error("trace empty")
+	// MergeJoin is forced: under the cost-based default the optimizer
+	// demotes the merge joins on a document this small, and the test
+	// asserts a merge-join operator row.
+	opts := &Options{Engine: MergeJoin}
+	plain, err := q.Run(cat, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(trace.String(), "merge-join") {
-		t.Errorf("trace:\n%s", trace.String())
+	res, ops, err := q.RunAnalyzed(cat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.XML() != plain.XML() {
+		t.Errorf("analyzed result differs:\n%s\nwant\n%s", res.XML(), plain.XML())
+	}
+	sawJoin := false
+	for _, o := range ops {
+		if strings.Contains(o.Op, "merge-join") && o.Calls > 0 {
+			sawJoin = true
+		}
+		if o.Time < 0 || o.Rows < 0 {
+			t.Errorf("bad operator row %+v", o)
+		}
+	}
+	if !sawJoin {
+		t.Errorf("no executed merge-join operator in %+v", ops)
+	}
+	if _, _, err := q.RunAnalyzed(cat, &Options{Engine: Interpreter}); err == nil {
+		t.Error("analyzing an interpreter run should fail")
 	}
 }
 

@@ -1,10 +1,13 @@
-package dixq
+package dixq_test
 
 // Documentation guards: these tests keep the prose honest. One walks
 // every internal package and fails if its package comment is missing or
-// trivial; the other resolves every relative link in the repository's
-// markdown files. Both run in plain `go test ./...`, so documentation
-// rot fails CI like any other regression.
+// trivial; one resolves every relative link in the repository's markdown
+// files; the rest cross-check docs/API.md against the flag sets, option
+// struct and request type it documents. All run in plain `go test ./...`,
+// so documentation rot fails CI like any other regression. (The file is
+// an external test package so it can import internal/server, which
+// imports dixq.)
 
 import (
 	"flag"
@@ -17,7 +20,9 @@ import (
 	"strings"
 	"testing"
 
+	"dixq"
 	"dixq/internal/cliflags"
+	"dixq/internal/server"
 )
 
 // TestEveryInternalPackageHasDoc parses each internal package and
@@ -208,7 +213,7 @@ func TestPerformanceDocKnobsResolve(t *testing.T) {
 			}
 		}
 	}
-	optType := reflect.TypeOf(Options{})
+	optType := reflect.TypeOf(dixq.Options{})
 	for _, m := range optionsRef.FindAllStringSubmatch(string(perf), -1) {
 		if _, ok := optType.FieldByName(m[1]); !ok {
 			t.Errorf("docs/PERFORMANCE.md names dixq.Options.%s, which is not a field of dixq.Options", m[1])
@@ -217,6 +222,83 @@ func TestPerformanceDocKnobsResolve(t *testing.T) {
 	for _, metric := range metricRef.FindAllString(string(perf), -1) {
 		if !strings.Contains(string(apiDoc), metric) {
 			t.Errorf("docs/PERFORMANCE.md names metric %s, which docs/API.md does not document", metric)
+		}
+	}
+}
+
+// apiDocTableNames extracts the names documented in the tables of one
+// docs/API.md section (the text after heading up to the next heading):
+// every row that opens with a backticked name contributes that name.
+func apiDocTableNames(t *testing.T, apiDoc, heading string) map[string]bool {
+	t.Helper()
+	_, section, ok := strings.Cut(apiDoc, heading+"\n")
+	if !ok {
+		t.Fatalf("docs/API.md: no %q section", heading)
+	}
+	if i := strings.Index(section, "\n#"); i >= 0 {
+		section = section[:i]
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			continue
+		}
+		if name, _, ok := strings.Cut(rest, "`"); ok {
+			names[name] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("docs/API.md: %q section contains no table rows", heading)
+	}
+	return names
+}
+
+// TestAPIDocTablesMatchTypes checks, in both directions, that the
+// `## dixq.Options` table lists every field of dixq.Options and that the
+// `POST /query` field table lists every JSON field of
+// server.QueryRequest: an undocumented field and a documented field that
+// no longer exists both fail.
+func TestAPIDocTablesMatchTypes(t *testing.T) {
+	data, err := os.ReadFile("docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apiDoc := string(data)
+
+	options := map[string]bool{}
+	ot := reflect.TypeOf(dixq.Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if f := ot.Field(i); f.IsExported() {
+			options[f.Name] = true
+		}
+	}
+	request := map[string]bool{}
+	rt := reflect.TypeOf(server.QueryRequest{})
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if name != "" && name != "-" {
+			request[name] = true
+		}
+	}
+
+	for _, c := range []struct {
+		heading, what string
+		fields        map[string]bool
+	}{
+		{"## dixq.Options", "dixq.Options field", options},
+		{"### POST /query", "server.QueryRequest JSON field", request},
+	} {
+		documented := apiDocTableNames(t, apiDoc, c.heading)
+		for name := range c.fields {
+			if !documented[name] {
+				t.Errorf("%s %s is not documented in the %q table of docs/API.md", c.what, name, c.heading)
+			}
+		}
+		for name := range documented {
+			if !c.fields[name] {
+				t.Errorf("docs/API.md %q table documents %s, which is not a %s", c.heading, name, c.what)
+			}
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"dixq/internal/index"
+	"dixq/internal/plan"
 	"dixq/internal/stats"
 	"dixq/internal/xmark"
 	"dixq/internal/xq"
@@ -106,57 +106,68 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 	}
 }
 
-// materializedPathOps are the trace names of path operators that ran in
-// materializing (non-streamed) form; streamed chains report under
-// "pipeline[N ops]" instead.
-var materializedPathOps = map[string]bool{
-	"roots": true, "select": true, "seltext": true, "children": true,
-	"data": true, "head": true, "tail": true,
+// analyzed evaluates q with per-plan-node instrumentation and returns the
+// executed plan together with its actuals.
+func analyzed(t *testing.T, q *Query, cat Catalog, opts Options) (*plan.Node, *plan.RunStats) {
+	t.Helper()
+	rs := &plan.RunStats{}
+	opts.Analyze = rs
+	if _, err := q.Eval(cat, opts); err != nil {
+		t.Fatal(err)
+	}
+	return q.Plan(opts), rs
+}
+
+// materializedPathRows sums the output rows of the path operators that
+// materialize a relation: every path operator outside a fused chain, and
+// the head of each fused chain (whose inner stages hand their survivors on
+// chunk by chunk without materializing). streamed counts the path
+// operators that ran inside a fused chain, heads included.
+func materializedPathRows(root *plan.Node, rs *plan.RunStats) (rows int64, streamed int) {
+	var visit func(n *plan.Node, inChain bool)
+	visit = func(n *plan.Node, inChain bool) {
+		isPath := n.Op == plan.OpRoots || n.Op == plan.OpPathStep
+		if isPath && n.Streamable {
+			streamed++
+		}
+		if isPath && !(inChain && n.Streamable) {
+			rows += rs.Node(n.ID).Rows
+		}
+		for _, c := range n.Inputs {
+			visit(c, isPath && n.Streamable)
+		}
+	}
+	visit(root, false)
+	return rows, streamed
 }
 
 // TestQ13StreamsAllPathChains asserts the streaming satellite end to end
 // on Q13 (the path-extraction-heavy benchmark query): with pipelining on,
 // every path operator — including single-step chains — runs streamed, so
-// the trace has no materializing path-op entries and strictly fewer
-// materialized intermediate rows than the NoPipeline ablation.
+// strictly fewer intermediate rows are materialized than under the
+// NoPipeline ablation.
 func TestQ13StreamsAllPathChains(t *testing.T) {
 	cat, _ := generatedCatalog(0.002, 30)
 	q := Compile(xq.MustParse(xmark.Q13), Options{})
 
-	fused := &Trace{}
-	if _, err := q.Eval(cat, Options{Trace: fused}); err != nil {
-		t.Fatal(err)
+	fusedPlan, fused := analyzed(t, q, cat, Options{})
+	fusedRows, streamed := materializedPathRows(fusedPlan, fused)
+	if streamed == 0 {
+		t.Fatal("fused run has no streamed path operators")
 	}
-	var fusedRows int64
-	sawPipeline := false
-	for _, e := range fused.Entries() {
-		if materializedPathOps[e.Op] {
-			t.Errorf("fused run materialized path operator %q (%d rows)", e.Op, e.Rows)
+	plan.Walk(fusedPlan, func(n *plan.Node) {
+		if (n.Op == plan.OpRoots || n.Op == plan.OpPathStep) && !n.Streamable {
+			t.Errorf("fused plan materializes path operator %s", n.OpName())
 		}
-		if strings.HasPrefix(e.Op, "pipeline[") {
-			sawPipeline = true
-			fusedRows += e.Rows
-		}
-	}
-	if !sawPipeline {
-		t.Fatal("fused run has no pipeline entries")
-	}
+	})
 
-	ablated := &Trace{}
-	if _, err := q.Eval(cat, Options{NoPipeline: true, Trace: ablated}); err != nil {
-		t.Fatal(err)
-	}
-	var ablatedRows int64
-	for _, e := range ablated.Entries() {
-		if strings.HasPrefix(e.Op, "pipeline[") {
-			t.Errorf("NoPipeline run streamed: %q", e.Op)
-		}
-		if materializedPathOps[e.Op] {
-			ablatedRows += e.Rows
-		}
+	ablatedPlan, ablated := analyzed(t, q, cat, Options{NoPipeline: true})
+	ablatedRows, ablatedStreamed := materializedPathRows(ablatedPlan, ablated)
+	if ablatedStreamed != 0 {
+		t.Errorf("NoPipeline run streamed %d path operators", ablatedStreamed)
 	}
 	if ablatedRows == 0 {
-		t.Fatal("NoPipeline run materialized no path rows; trace broken")
+		t.Fatal("NoPipeline run materialized no path rows; analyze broken")
 	}
 	if fusedRows >= ablatedRows {
 		t.Errorf("fusion materialized %d rows, ablation %d; want strictly fewer",
@@ -166,24 +177,98 @@ func TestQ13StreamsAllPathChains(t *testing.T) {
 
 // TestSingleStepChainStreams pins the length-1 case directly: a lone path
 // step (no adjacent path operator to fuse with) still executes as a
-// one-operator pipeline rather than falling back to materialization.
+// one-operator pipeline, drawing its input in chunks, rather than falling
+// back to materialization.
 func TestSingleStepChainStreams(t *testing.T) {
 	cat, _ := generatedCatalog(0.0005, 20030609)
-	trace := &Trace{}
 	q := Compile(xq.MustParse(`count(children(document("auction.xml")))`), Options{NoRewrites: true})
-	if _, err := q.Eval(cat, Options{Trace: trace, NoRewrites: true}); err != nil {
-		t.Fatal(err)
-	}
+	root, rs := analyzed(t, q, cat, Options{NoRewrites: true})
 	found := false
-	for _, e := range trace.Entries() {
-		if e.Op == "pipeline[1 ops]" {
-			found = true
+	plan.Walk(root, func(n *plan.Node) {
+		if n.Op != plan.OpPathStep || n.Step != plan.StepChildren {
+			return
 		}
-		if e.Op == "children" {
+		found = true
+		if !n.Streamable {
 			t.Error("single-step chain materialized instead of streaming")
 		}
-	}
+		if st := rs.Node(n.ID); st.Calls != 1 || st.Batches == 0 {
+			t.Errorf("lone children step ran %d times over %d batches; want one batched run", st.Calls, st.Batches)
+		}
+	})
 	if !found {
-		t.Error("no pipeline[1 ops] entry for a lone path step")
+		t.Error("no children step in the plan")
+	}
+}
+
+// feedsChainFromSeek reports whether a plan contains a streamed path chain
+// whose source is a servable index seek — the shape tryIndexedChain fuses.
+func feedsChainFromSeek(root *plan.Node) bool {
+	found := false
+	plan.Walk(root, func(n *plan.Node) {
+		if (n.Op != plan.OpRoots && n.Op != plan.OpPathStep) || !n.Streamable {
+			return
+		}
+		if in := n.Inputs[0]; in.Op == plan.OpIndexPath && in.Seek != nil && !in.Seek.Pruned {
+			found = true
+		}
+	})
+	return found
+}
+
+// seekChainQueries are path queries over the XMark document whose plans
+// feed a streamed chain from an index seek: a positional step (head) or an
+// atomization (data) above an absorbable path. None of Q1-Q20 has that
+// shape — hoisting binds their document paths to let-bound seeks with no
+// chain above them — so these take the suite's paths with a positional
+// step made absolute (Q2's bidder[1], for instance).
+var seekChainQueries = []string{
+	`count(document("auction.xml")/site/open_auctions/open_auction/bidder[1])`,
+	`for $b in document("auction.xml")/site/open_auctions/open_auction/bidder[1] return <increase>{$b/increase/text()}</increase>`,
+	`for $p in document("auction.xml")/site/people/person[1] return $p/name/text()`,
+	`document("auction.xml")/site/closed_auctions/closed_auction[1]/price/text()`,
+	`data(document("auction.xml")/site/people/person[1]/name/text())`,
+}
+
+// TestIndexedChainMatchesAnalyzedRoute covers both routes of a path chain
+// fed by an index seek. A plain serial run streams the seek's row ranges
+// straight into the chain's chunks (tryIndexedChain); the same run with
+// Analyze set materializes the seek through execIndexPath first and runs
+// the chain over that relation. For Q1-Q20 and seekChainQueries, every
+// query/mode whose plan has such a chain must be digit-identical across
+// the two routes.
+func TestIndexedChainMatchesAnalyzedRoute(t *testing.T) {
+	cat, _ := generatedCatalog(0.002, 20030609)
+	set := index.BuildSet(cat)
+	queries := append([]string(nil), seekChainQueries...)
+	for _, qq := range xmark.All {
+		queries = append(queries, qq.Text)
+	}
+	seeded := 0
+	for _, text := range queries {
+		q := Compile(xq.MustParse(text), Options{})
+		for _, mode := range []Mode{ModeAuto, ModeMSJ, ModeNLJ} {
+			opts := Options{ForceJoinMode: mode, Parallelism: 1, Indexes: set}
+			if !feedsChainFromSeek(q.Plan(opts)) {
+				continue
+			}
+			seeded++
+			fused, err := q.Eval(cat, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", mode, text, err)
+			}
+			opts.Analyze = &plan.RunStats{}
+			materialized, err := q.Eval(cat, opts)
+			if err != nil {
+				t.Fatalf("%s %s (analyze): %v", mode, text, err)
+			}
+			if fused.Len() == 0 {
+				t.Errorf("%s %s: empty answer; the chain filtered nothing to compare", mode, text)
+			}
+			sameTuples(t, mode.String()+" "+text, fused, materialized)
+		}
+	}
+	if want := 3 * len(seekChainQueries); seeded < want {
+		t.Fatalf("%d query/mode pairs feed a chain from an index seek, want at least %d: the test lost its subject", seeded, want)
 	}
 }

@@ -408,47 +408,6 @@ func TestQ14Contains(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	cat, _ := generatedCatalog(0.001, 30)
-	for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
-		trace := &Trace{}
-		q := Compile(xq.MustParse(xmark.Q8), Options{})
-		if _, err := q.Eval(cat, Options{ForceJoinMode: mode, Trace: trace}); err != nil {
-			t.Fatal(err)
-		}
-		entries := trace.Entries()
-		if len(entries) == 0 {
-			t.Fatalf("%s: empty trace", mode)
-		}
-		byOp := map[string]TraceEntry{}
-		for _, e := range entries {
-			byOp[e.Op] = e
-			if e.Calls <= 0 || e.Time < 0 {
-				t.Errorf("%s: bad entry %+v", mode, e)
-			}
-		}
-		if _, ok := byOp["for-enter"]; !ok {
-			t.Errorf("%s: no for-enter entry: %v", mode, entries)
-		}
-		if mode == ModeMSJ {
-			if _, ok := byOp["merge-join"]; !ok {
-				t.Errorf("MSJ trace missing merge-join: %v", entries)
-			}
-		} else {
-			if _, ok := byOp["embed-outer"]; !ok {
-				t.Errorf("NLJ trace missing embed-outer: %v", entries)
-			}
-		}
-		out := trace.String()
-		if !strings.Contains(out, "operator") || !strings.Contains(out, "for-enter") {
-			t.Errorf("%s: trace render:\n%s", mode, out)
-		}
-	}
-	// A nil trace is inert.
-	var nilTrace *Trace
-	nilTrace.record("x", 1, 0)
-}
-
 func TestPlanTree(t *testing.T) {
 	q := Compile(xq.MustParse(xmark.Q8), Options{})
 	msj := q.Plan(Options{ForceJoinMode: ModeMSJ}).Tree()

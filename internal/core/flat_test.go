@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
 	"dixq/internal/interval"
 	"dixq/internal/xmark"
-	"dixq/internal/xmltree"
 	"dixq/internal/xq"
 )
 
@@ -26,42 +24,13 @@ func sameTuples(t *testing.T, what string, got, want *interval.Relation) {
 	}
 }
 
-// TestFlatMatchesLegacyKeys runs random queries end to end under both
-// physical key layouts; the result relations must be digit-for-digit
-// identical in both plan modes.
-func TestFlatMatchesLegacyKeys(t *testing.T) {
-	const trials = 250
-	rng := rand.New(rand.NewSource(43))
-	docNames := []string{"d1", "d2"}
-	for trial := 0; trial < trials; trial++ {
-		docs := map[string]xmltree.Forest{}
-		for _, n := range docNames {
-			docs[n] = xmltree.RandomForest(rng, 10)
-		}
-		cat := EncodeCatalog(docs)
-		e := xq.RandomExpr(rng, docNames, 4)
-		for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
-			q := Compile(e, Options{})
-			flat, err := q.Eval(cat, Options{ForceJoinMode: mode})
-			if err != nil {
-				t.Fatalf("trial %d (%s, flat): %v on %s", trial, mode, err, e)
-			}
-			legacy, err := q.Eval(cat, Options{ForceJoinMode: mode, LegacyKeys: true})
-			if err != nil {
-				t.Fatalf("trial %d (%s, legacy): %v on %s", trial, mode, err, e)
-			}
-			sameTuples(t, mode.String(), flat, legacy)
-		}
-	}
-}
-
 // The parallel-vs-serial differential (with the sort threshold lowered so
 // Parallelism > 1 actually fans out on test-sized inputs) moved to
 // internal/difftest, which runs the same queries through the full
 // engine/parallelism/budget matrix under -race in CI.
 
-// BenchmarkMSJ measures the merge-join evaluation of XMark Q8 in both key
-// layouts; the flat layout should cut allocations per run.
+// BenchmarkMSJ measures the merge-join evaluation of XMark Q8, serial and
+// parallel.
 func BenchmarkMSJ(b *testing.B) {
 	cat, _ := generatedCatalog(0.01, 7)
 	q := Compile(xq.MustParse(xmark.Q8), Options{})
@@ -70,7 +39,6 @@ func BenchmarkMSJ(b *testing.B) {
 		opts Options
 	}{
 		{"flat", Options{ForceJoinMode: ModeMSJ}},
-		{"legacy", Options{ForceJoinMode: ModeMSJ, LegacyKeys: true}},
 		{"flat-parallel", Options{ForceJoinMode: ModeMSJ, Parallelism: 8}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

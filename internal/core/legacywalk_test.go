@@ -11,7 +11,8 @@ package core
 //
 // The fuzz target asserts that compile-then-execute produces digit-for-
 // digit identical result relations to the legacy walk on random queries,
-// in both join modes and both key layouts.
+// in both join modes, fused and unfused. The walk itself materializes every
+// path step through package engine.
 
 import (
 	"fmt"
@@ -21,7 +22,6 @@ import (
 
 	"dixq/internal/engine"
 	"dixq/internal/interval"
-	"dixq/internal/pipeline"
 	"dixq/internal/xmltree"
 	"dixq/internal/xq"
 )
@@ -35,7 +35,7 @@ func (ev *evaluator) legacyEval(e xq.Expr, en *env) (*table, error) {
 	case xq.Const:
 		defer track(ev.phaseDur(&ev.stats.Construction))()
 		rel := interval.Encode(e.Value)
-		out, err := ev.ops.embedOuter(en.index, 0, en.depth, rel, ev.budget)
+		out, err := engine.EmbedOuter(en.index, 0, en.depth, rel, ev.budget)
 		if err != nil {
 			return nil, err
 		}
@@ -59,70 +59,7 @@ func (ev *evaluator) legacyEval(e xq.Expr, en *env) (*table, error) {
 	}
 }
 
-var legacyFusibleFns = map[string]bool{
-	xq.FnSelect:   true,
-	xq.FnSelText:  true,
-	xq.FnChildren: true,
-	xq.FnRoots:    true,
-	xq.FnData:     true,
-	xq.FnHead:     true,
-	xq.FnTail:     true,
-}
-
-// legacyTryFuse is the old exec-time fusion: chains shorter than two
-// operators gained nothing and fell back to materialization (the bailout
-// the plan-IR compiler no longer has).
-func (ev *evaluator) legacyTryFuse(e xq.Call, en *env) (*table, bool, error) {
-	if ev.opts.NoPipeline || !legacyFusibleFns[e.Fn] {
-		return nil, false, nil
-	}
-	var chain []xq.Call
-	cur := e
-	for legacyFusibleFns[cur.Fn] && len(cur.Args) == 1 {
-		chain = append(chain, cur)
-		next, ok := cur.Args[0].(xq.Call)
-		if !ok {
-			break
-		}
-		cur = next
-	}
-	if len(chain) < 2 {
-		return nil, false, nil
-	}
-	input, err := ev.legacyEval(chain[len(chain)-1].Args[0], en)
-	if err != nil {
-		return nil, false, err
-	}
-	defer track(ev.phaseDur(&ev.stats.Paths))()
-	var it pipeline.Iterator = pipeline.NewScan(input.rel)
-	for i := len(chain) - 1; i >= 0; i-- {
-		switch op := chain[i]; op.Fn {
-		case xq.FnSelect:
-			it = pipeline.NewSelectLabel(op.Label, it)
-		case xq.FnSelText:
-			it = pipeline.NewSelectText(it)
-		case xq.FnChildren:
-			it = pipeline.NewChildren(it)
-		case xq.FnRoots:
-			it = pipeline.NewRoots(it)
-		case xq.FnData:
-			it = pipeline.NewData(it)
-		case xq.FnHead:
-			it = pipeline.NewHead(it, en.depth)
-		case xq.FnTail:
-			it = pipeline.NewTail(it, en.depth)
-		}
-	}
-	out := pipeline.Materialize(it)
-	return &table{rel: out, local: input.local}, true, nil
-}
-
 func (ev *evaluator) legacyEvalCall(e xq.Call, en *env) (*table, error) {
-	if tab, ok, err := ev.legacyTryFuse(e, en); err != nil {
-		return nil, err
-	} else if ok {
-		return tab, nil
-	}
 	args := make([]*table, len(e.Args))
 	for i, a := range e.Args {
 		t, err := ev.legacyEval(a, en)
@@ -137,22 +74,22 @@ func (ev *evaluator) legacyEvalCall(e xq.Call, en *env) (*table, error) {
 func (ev *evaluator) legacyApplyOp(e xq.Call, args []*table, en *env) (*table, error) {
 	switch e.Fn {
 	case xq.FnNode:
-		rel := ev.ops.construct(en.index, en.depth, e.Label, args[0].rel)
+		rel := engine.Construct(en.index, en.depth, e.Label, args[0].rel)
 		return &table{rel: rel, local: max(1, args[0].local)}, nil
 	case xq.FnConcat:
-		rel := ev.ops.concat(en.index, en.depth, args[0].rel, args[1].rel)
+		rel := engine.Concat(en.index, en.depth, args[0].rel, args[1].rel)
 		return &table{rel: rel, local: max(args[0].local, args[1].local)}, nil
 	case xq.FnCount:
-		rel := ev.ops.count(en.index, en.depth, args[0].rel)
+		rel := engine.Count(en.index, en.depth, args[0].rel)
 		return &table{rel: rel, local: 1}, nil
 	case xq.FnHead:
 		return &table{rel: engine.Head(args[0].rel, en.depth), local: args[0].local}, nil
 	case xq.FnTail:
 		return &table{rel: engine.Tail(args[0].rel, en.depth), local: args[0].local}, nil
 	case xq.FnReverse:
-		return &table{rel: ev.ops.reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
+		return &table{rel: engine.Reverse(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case xq.FnSort:
-		return &table{rel: ev.ops.sortTrees(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
+		return &table{rel: engine.SortTreesP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local + 1}, nil
 	case xq.FnDistinct:
 		return &table{rel: engine.DistinctP(args[0].rel, en.depth, ev.opts.Parallelism), local: args[0].local}, nil
 	case xq.FnSelect:
@@ -166,7 +103,7 @@ func (ev *evaluator) legacyApplyOp(e xq.Call, args []*table, en *env) (*table, e
 	case xq.FnChildren:
 		return &table{rel: engine.Children(args[0].rel), local: args[0].local}, nil
 	case xq.FnSubtreesDFS:
-		return &table{rel: ev.ops.subtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
+		return &table{rel: engine.SubtreesDFS(args[0].rel, en.depth), local: args[0].local + 1}, nil
 	case xq.FnSum, xq.FnAvg, xq.FnMin, xq.FnMax:
 		rel := engine.Aggregate(en.index, en.depth, e.Fn, args[0].rel)
 		return &table{rel: rel, local: 1}, nil
@@ -316,11 +253,11 @@ func (ev *evaluator) legacyEvalFor(e xq.For, en *env) (*table, error) {
 	roots := engine.Roots(dom.rel)
 	index := engine.EnterIndex(roots)
 	newDepth := en.depth + dom.local
-	bound := ev.ops.bindVar(dom.rel, roots, en.depth, newDepth)
+	bound := engine.BindVar(dom.rel, roots, en.depth, newDepth)
 	child := en.child(newDepth, index)
 	child.vars[e.Var] = binding{tab: &table{rel: bound, local: dom.local}, depth: newDepth}
 	if e.Pos != "" {
-		pos := ev.ops.positions(roots, en.depth, newDepth)
+		pos := engine.Positions(roots, en.depth, newDepth)
 		child.vars[e.Pos] = binding{tab: &table{rel: pos, local: 1}, depth: newDepth}
 	}
 	body, err := ev.legacyEval(e.Body, child)
@@ -371,12 +308,12 @@ func (ev *evaluator) legacyTryMergeJoin(e xq.For, en *env) (*table, bool, error)
 	roots := engine.Roots(domTab.rel)
 	yIndex := engine.EnterIndex(roots)
 	yDepth := d0 + domTab.local
-	yBound := ev.ops.bindVar(domTab.rel, roots, d0, yDepth)
+	yBound := engine.BindVar(domTab.rel, roots, d0, yDepth)
 	yEnv := anc.child(yDepth, yIndex)
 	yEnv.vars[e.Var] = binding{tab: &table{rel: yBound, local: domTab.local}, depth: yDepth}
 	var yPos *interval.Relation
 	if e.Pos != "" {
-		yPos = ev.ops.positions(roots, d0, yDepth)
+		yPos = engine.Positions(roots, d0, yDepth)
 		yEnv.vars[e.Pos] = binding{tab: &table{rel: yPos, local: 1}, depth: yDepth}
 	}
 
@@ -526,7 +463,7 @@ func legacyWalk(e xq.Expr, cat Catalog, opts Options) (*interval.Relation, error
 // FuzzCompileExecute asserts the refactor's core invariant: compiling a
 // random expression to the plan IR and executing the plan yields digit-
 // for-digit identical result relations to the legacy AST walk, in both
-// join modes and both key layouts.
+// join modes and with path-chain fusion on and off.
 func FuzzCompileExecute(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 20030609} {
 		f.Add(seed)
@@ -543,7 +480,6 @@ func FuzzCompileExecute(f *testing.F) {
 		for _, opts := range []Options{
 			{ForceJoinMode: ModeMSJ},
 			{ForceJoinMode: ModeNLJ},
-			{ForceJoinMode: ModeMSJ, LegacyKeys: true},
 			{ForceJoinMode: ModeMSJ, NoPipeline: true},
 		} {
 			want, werr := legacyWalk(q.Expr, cat, opts)

@@ -2,10 +2,10 @@
 // corpus of queries and documents, executed through every evaluation
 // strategy the repository ships — the denotational interpreter (the
 // semantic oracle), the cost-based DI-OPT mode (with and without real
-// statistics) and the forced DI-MSJ and DI-NLJ plan modes, the legacy key
-// layout, the unfused ablation, the scalar pipeline, the batched
-// pipeline at several chunk sizes, and every Parallelism/MemBudget
-// combination — asserting digit-identical results.
+// statistics) and the forced DI-MSJ and DI-NLJ plan modes, the unfused
+// materializing baseline, the batched pipeline at several chunk sizes,
+// and every Parallelism/MemBudget combination — asserting digit-identical
+// results.
 //
 // The comparisons happen at two levels:
 //
@@ -16,7 +16,7 @@
 //     including the physical digit count of every key. The variants are
 //     purely algorithmic switches, so nothing weaker than digit identity
 //     is acceptable: a batched, spilled, eight-worker run must be
-//     indistinguishable from the serial scalar run.
+//     indistinguishable from the serial materializing run.
 //
 // Tests that need one engine pair live with their package; tests whose
 // point is "all engines agree on the shared corpus" live here, so the
@@ -124,21 +124,19 @@ type Variant struct {
 }
 
 // Baseline is the reference DI configuration every variant is compared
-// against: serial, scalar, in-memory DI-MSJ — the most literal execution
-// of the compiled plan.
+// against: serial, unfused, in-memory DI-MSJ, where every path step
+// materializes through package engine — the most literal execution of the
+// compiled plan.
 func Baseline() core.Options {
-	return core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1, ScalarPipeline: true}
+	return core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1, NoPipeline: true}
 }
 
-// Variants is the full configuration matrix: the plan-mode and
-// key-layout and fusion switches, then the batched pipeline crossed over
-// plan mode x chunk size x worker count x memory budget. spillDir
-// receives the external-sort runs of the budgeted variants.
+// Variants is the full configuration matrix: the default configuration,
+// then the batched pipeline crossed over plan mode x chunk size x worker
+// count x memory budget. spillDir receives the external-sort runs of the
+// budgeted variants.
 func Variants(spillDir string) []Variant {
 	vs := []Variant{
-		{"nlj-scalar", core.Options{ForceJoinMode: core.ModeNLJ, Parallelism: 1, ScalarPipeline: true}},
-		{"legacy-keys", core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1, LegacyKeys: true}},
-		{"no-pipeline", core.Options{ForceJoinMode: core.ModeMSJ, Parallelism: 1, NoPipeline: true}},
 		{"default", core.Options{ForceJoinMode: core.ModeMSJ}},
 		// An odd worker count under a 1-byte budget: partition boundaries
 		// fall at different keys than the even-count variants while every
@@ -200,7 +198,8 @@ func WithStats(vs []Variant, st *stats.Set) []Variant {
 
 // IdenticalRelations asserts two result relations match tuple-for-tuple
 // including the physical digit count of every key — a spilled, batched
-// or parallel run must be indistinguishable from the serial scalar run.
+// or parallel run must be indistinguishable from the serial materializing
+// run.
 func IdenticalRelations(tb testing.TB, what string, got, want *interval.Relation) {
 	tb.Helper()
 	if len(got.Tuples) != len(want.Tuples) {

@@ -1,11 +1,22 @@
-// Batch-at-a-time execution. The Volcano iterators in pipeline.go hand one
-// tuple per virtual call; at millions of rows the call overhead and the
-// per-tuple key views dominate. The Batch interface moves the same Section
-// 5 operators to chunk granularity: each Next yields a columnar
-// interval.Flat of up to BatchSize rows, and the kernels run their state
-// machines as tight loops over the shared digit buffer. The state machines
-// are digit-for-digit the ones in pipeline.go — the scalar forms stay as
-// the differential oracle (core.Options.ScalarPipeline).
+// Package pipeline is the streaming half of the DI prototype: the Section
+// 5 path operators (Algorithm 5.2's roots, and children, select, seltext,
+// data, head and tail) as batch kernels over columnar chunks. Each operator
+// is a per-row state machine that preserves the L-key order and keeps O(1)
+// state (O(depth) for head and tail), so a chain of path steps — the bulk
+// of every query's plan — runs as one fused linear pass with no
+// intermediate relations. A Batch source yields chunks of up to BatchSize
+// rows as interval.Flat buffers; a Chain runs every stage over each chunk
+// in one tight loop, each stage compacting its survivors in place; and
+// MaterializeBatches hands back the surviving input tuples by their
+// recorded row indices. parallel.go splits a chain's input at provably
+// safe points and runs the morsels on the shared worker pool.
+//
+// The materializing engine (package engine) remains the executor for the
+// stateful environment machinery (loop entry, embedding, merge joins), and
+// its Roots, Children, SelectLabel, SelectText, Data, Head and Tail are the
+// reference the kernels are tested against digit for digit. The planner
+// fuses maximal path chains through this package and materializes only at
+// the chain boundary.
 package pipeline
 
 import (
@@ -248,7 +259,7 @@ func (s *FlatBatches) Next() (*interval.Flat, bool) {
 }
 
 // Stage is one fused filter operator in value form: its kind, parameters,
-// and the per-row state machine from pipeline.go. Stages live by value
+// and its per-row state machine. Stages live by value
 // inside a kernel or a Chain so that an entire fused chain costs a constant
 // number of allocations, not one per operator. The retained keys (max,
 // prefix, end) are copied into stage-owned buffers because source chunks
@@ -297,8 +308,7 @@ func SelectTextStage() Stage { return Stage{kind: stageSelectText} }
 // stage.
 func DataStage() Stage { return Stage{kind: stageData} }
 
-// HeadStage keeps each environment's first top-level tree, mirroring the
-// scalar headTail machine: depth digits of L identify the environment, the
+// HeadStage keeps each environment's first top-level tree: depth digits of L identify the environment, the
 // first tuple of each environment opens its first tree, and done latches
 // once a row falls outside it.
 func HeadStage(depth int) Stage { return Stage{kind: stageHead, depth: depth} }
@@ -488,8 +498,8 @@ type BatchStats struct {
 // MaterializeBatches drains a batch stream into a row-form relation. When
 // the surviving rows carry Orig indices into rel (the RelationBatches
 // path), the output tuples are the original tuples themselves — keys
-// aliased, zero digit copies, exactly what the scalar Materialize
-// produces. Rows without an origin (e.g. a FlatBatches source) are cloned
+// aliased, zero digit copies, exactly what the engine's materializing
+// filters return. Rows without an origin (e.g. a FlatBatches source) are cloned
 // into an arena at their exact physical lengths.
 func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, BatchStats) {
 	var st BatchStats
@@ -517,7 +527,7 @@ func MaterializeBatches(b Batch, rel *interval.Relation) (*interval.Relation, Ba
 }
 
 // CountTreesBatches drains a batch stream and counts top-level trees — the
-// batched form of CountTrees.
+// streaming form of the count aggregate over a single environment.
 func CountTreesBatches(b Batch) int {
 	n := 0
 	var max interval.Key

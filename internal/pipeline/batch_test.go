@@ -5,13 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dixq/internal/engine"
 	"dixq/internal/interval"
 	"dixq/internal/xmltree"
 )
 
 // sameTuples compares two relations digit-for-digit: labels, exact key
 // lengths, and every digit must match. Stricter than Key.Equal on purpose —
-// the batch runtime promises digit-identical output to the scalar one.
+// the batch runtime promises digit-identical output to the materializing
+// engine operators.
 func sameTuples(t *testing.T, name string, got, want *interval.Relation) bool {
 	t.Helper()
 	if len(got.Tuples) != len(want.Tuples) {
@@ -30,39 +32,40 @@ func sameTuples(t *testing.T, name string, got, want *interval.Relation) bool {
 	return true
 }
 
-// batchPairs maps every scalar operator to its batch kernel.
+// batchPairs maps every materializing engine operator to its batch kernel.
 var batchPairs = []struct {
 	name   string
-	scalar func(Iterator) Iterator
+	engine func(*interval.Relation) *interval.Relation
 	batch  func(Batch) Batch
 }{
-	{"Roots", NewRoots, NewBatchRoots},
-	{"Children", NewChildren, NewBatchChildren},
+	{"Roots", engine.Roots, NewBatchRoots},
+	{"Children", engine.Children, NewBatchChildren},
 	{"SelectLabel",
-		func(it Iterator) Iterator { return NewSelectLabel("<a>", it) },
+		func(r *interval.Relation) *interval.Relation { return engine.SelectLabel("<a>", r) },
 		func(b Batch) Batch { return NewBatchSelectLabel("<a>", b) }},
-	{"SelectText", NewSelectText, NewBatchSelectText},
-	{"Data", NewData, NewBatchData},
+	{"SelectText", engine.SelectText, NewBatchSelectText},
+	{"Data", engine.Data, NewBatchData},
 	{"Head",
-		func(it Iterator) Iterator { return NewHead(it, 0) },
+		func(r *interval.Relation) *interval.Relation { return engine.Head(r, 0) },
 		func(b Batch) Batch { return NewBatchHead(b, 0) }},
 	{"Tail",
-		func(it Iterator) Iterator { return NewTail(it, 0) },
+		func(r *interval.Relation) *interval.Relation { return engine.Tail(r, 0) },
 		func(b Batch) Batch { return NewBatchTail(b, 0) }},
 }
 
-// TestBatchKernelsMatchScalar is the per-operator differential: every batch
-// kernel must reproduce its scalar twin digit-for-digit on random forests,
-// across batch sizes down to one row per chunk (which exercises all the
-// state carried across chunk boundaries).
-func TestBatchKernelsMatchScalar(t *testing.T) {
+// TestOperatorsMatchEngine is the per-operator differential: every
+// batch kernel must reproduce its materializing engine operator
+// digit-for-digit on random forests, across batch sizes down to one row
+// per chunk (which exercises all the state carried across chunk
+// boundaries).
+func TestOperatorsMatchEngine(t *testing.T) {
 	for _, p := range batchPairs {
 		for _, bs := range []int{1, 2, 3, 7, DefaultBatchSize} {
 			cfg := &quick.Config{MaxCount: 120}
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				rel := interval.Encode(xmltree.RandomForest(rng, 12))
-				want := Materialize(p.scalar(NewScan(rel)))
+				want := p.engine(rel)
 				got, _ := MaterializeBatches(p.batch(NewRelationBatches(rel, bs)), rel)
 				return sameTuples(t, p.name, got, want)
 			}
@@ -73,25 +76,61 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestBatchChainMatchesScalarChain fuses a multi-step chain and compares
-// with the scalar fused chain, over both batch sources.
-func TestBatchChainMatchesScalarChain(t *testing.T) {
+// TestBatchKernelsMatchScalar checks that chunking does not change a
+// kernel's output: at every batch size each kernel must reproduce its own
+// row-at-a-time run (one row per chunk) digit-for-digit, over both the
+// relation and the flat batch sources.
+func TestBatchKernelsMatchScalar(t *testing.T) {
+	for _, p := range batchPairs {
+		for _, bs := range []int{2, 3, 7, DefaultBatchSize} {
+			cfg := &quick.Config{MaxCount: 120}
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				rel := interval.Encode(xmltree.RandomForest(rng, 12))
+				want, _ := MaterializeBatches(p.batch(NewRelationBatches(rel, 1)), rel)
+				got, _ := MaterializeBatches(p.batch(NewRelationBatches(rel, bs)), rel)
+				if !sameTuples(t, p.name+"/relation", got, want) {
+					return false
+				}
+				// Flat windows are compacted in place, so the flat source
+				// gets its own copy.
+				got2, _ := MaterializeBatches(p.batch(NewFlatBatches(interval.FlatOf(rel), bs)), nil)
+				return sameTuples(t, p.name+"/flat", got2, want)
+			}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Errorf("%s (batch=%d): %v", p.name, bs, err)
+			}
+		}
+	}
+}
+
+// TestBatchChainMatchesEngine fuses a multi-step chain and compares with
+// the same steps applied one by one through the materializing engine, over
+// both batch sources and at every batch size of the per-kernel test.
+func TestBatchChainMatchesEngine(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := interval.Encode(xmltree.RandomForest(rng, 15))
-		want := Materialize(NewData(NewSelectLabel("<a>", NewChildren(NewScan(rel)))))
-
-		got, _ := MaterializeBatches(
-			NewBatchData(NewBatchSelectLabel("<a>", NewBatchChildren(NewRelationBatches(rel, 4)))), rel)
-		if !sameTuples(t, "chain/relation", got, want) {
-			return false
+		want := engine.Data(engine.SelectLabel("<a>", engine.Children(rel)))
+		stages := func() []Stage {
+			return []Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()}
 		}
-
-		flat := interval.FlatOf(rel)
-		got2, _ := MaterializeBatches(
-			NewBatchData(NewBatchSelectLabel("<a>", NewBatchChildren(NewFlatBatches(flat, 4)))), nil)
-		return sameTuples(t, "chain/flat", got2, want)
+		for _, bs := range []int{1, 2, 3, 7, DefaultBatchSize} {
+			got, _ := MaterializeBatches(NewChain(NewRelationBatches(rel, bs), stages()), rel)
+			if !sameTuples(t, "chain/relation", got, want) {
+				return false
+			}
+			// Flat windows are compacted in place, so each pass gets a
+			// fresh copy.
+			flat := interval.FlatOf(rel)
+			got2, _ := MaterializeBatches(
+				NewBatchData(NewBatchSelectLabel("<a>", NewBatchChildren(NewFlatBatches(flat, bs)))), nil)
+			if !sameTuples(t, "chain/flat", got2, want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -99,7 +138,8 @@ func TestBatchChainMatchesScalarChain(t *testing.T) {
 }
 
 // TestBatchHeadTailMultiEnv pins the environment-boundary state machine
-// with chunk boundaries falling inside and between environments.
+// with chunk boundaries falling inside and between environments, and
+// checks that head and tail partition the input.
 func TestBatchHeadTailMultiEnv(t *testing.T) {
 	forests := []xmltree.Forest{
 		{xmltree.NewElement("a", xmltree.NewText("x")), xmltree.NewElement("b")},
@@ -118,13 +158,15 @@ func TestBatchHeadTailMultiEnv(t *testing.T) {
 			})
 		}
 	}
+	wantHead, wantTail := engine.Head(rel, 1), engine.Tail(rel, 1)
+	if wantHead.Len()+wantTail.Len() != rel.Len() {
+		t.Fatal("head/tail do not partition the input")
+	}
 	for _, bs := range []int{1, 2, 3, 64} {
-		wantHead := Materialize(NewHead(NewScan(rel), 1))
 		gotHead, _ := MaterializeBatches(NewBatchHead(NewRelationBatches(rel, bs), 1), rel)
 		if !sameTuples(t, "head", gotHead, wantHead) {
 			t.Errorf("head diverged at batch=%d", bs)
 		}
-		wantTail := Materialize(NewTail(NewScan(rel), 1))
 		gotTail, _ := MaterializeBatches(NewBatchTail(NewRelationBatches(rel, bs), 1), rel)
 		if !sameTuples(t, "tail", gotTail, wantTail) {
 			t.Errorf("tail diverged at batch=%d", bs)
@@ -132,14 +174,14 @@ func TestBatchHeadTailMultiEnv(t *testing.T) {
 	}
 }
 
-// TestCountTreesBatches checks the batched tree counter against the scalar
-// one on random forests.
+// TestCountTreesBatches checks the batched tree counter against the
+// engine's roots on random forests: one root per top-level tree.
 func TestCountTreesBatches(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rel := interval.Encode(xmltree.RandomForest(rng, 12))
-		want := CountTrees(NewScan(rel))
+		want := engine.Roots(rel).Len()
 		got := CountTreesBatches(NewRelationBatches(rel, 3))
 		if got != want {
 			t.Logf("seed %d: got %d trees, want %d", seed, got, want)

@@ -5,57 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dixq/internal/engine"
 	"dixq/internal/interval"
 	"dixq/internal/xfn"
 	"dixq/internal/xmltree"
 )
-
-// checkAgainstEngine verifies a streamed operator against its materialized
-// counterpart on random single-environment inputs.
-func checkAgainstEngine(t *testing.T, name string,
-	stream func(Iterator) Iterator,
-	mat func(*interval.Relation) *interval.Relation) {
-	t.Helper()
-	cfg := &quick.Config{MaxCount: 300}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rel := interval.Encode(xmltree.RandomForest(rng, 12))
-		got := Materialize(stream(NewScan(rel)))
-		want := mat(rel)
-		if len(got.Tuples) != len(want.Tuples) {
-			t.Logf("%s seed %d: %d tuples, want %d", name, seed, len(got.Tuples), len(want.Tuples))
-			return false
-		}
-		for i := range got.Tuples {
-			a, b := got.Tuples[i], want.Tuples[i]
-			if a.S != b.S || !a.L.Equal(b.L) || !a.R.Equal(b.R) {
-				t.Logf("%s seed %d: tuple %d = %s, want %s", name, seed, i, a, b)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Errorf("%s: %v", name, err)
-	}
-}
-
-func TestOperatorsMatchEngine(t *testing.T) {
-	checkAgainstEngine(t, "Roots", NewRoots, engine.Roots)
-	checkAgainstEngine(t, "Children", NewChildren, engine.Children)
-	checkAgainstEngine(t, "SelectLabel",
-		func(it Iterator) Iterator { return NewSelectLabel("<a>", it) },
-		func(r *interval.Relation) *interval.Relation { return engine.SelectLabel("<a>", r) })
-	checkAgainstEngine(t, "SelectText", NewSelectText, engine.SelectText)
-	checkAgainstEngine(t, "Data", NewData, engine.Data)
-	checkAgainstEngine(t, "Head",
-		func(it Iterator) Iterator { return NewHead(it, 0) },
-		func(r *interval.Relation) *interval.Relation { return engine.Head(r, 0) })
-	checkAgainstEngine(t, "Tail",
-		func(it Iterator) Iterator { return NewTail(it, 0) },
-		func(r *interval.Relation) *interval.Relation { return engine.Tail(r, 0) })
-}
 
 // TestFusedChainMatchesSpec runs a whole path chain through the pipeline in
 // one pass and compares with the forest-level specification.
@@ -67,8 +20,10 @@ func TestFusedChainMatchesSpec(t *testing.T) {
 		rel := interval.Encode(forest)
 		// select("<a>", children(·)) then data(·): a two-step path plus
 		// atomization, fused.
-		it := NewData(NewSelectLabel("<a>", NewChildren(NewScan(rel))))
-		got, err := interval.Decode(Materialize(it))
+		chain := NewChain(NewRelationBatches(rel, 0),
+			[]Stage{ChildrenStage(), SelectLabelStage("<a>"), DataStage()})
+		out, _ := MaterializeBatches(chain, rel)
+		got, err := interval.Decode(out)
 		if err != nil {
 			return false
 		}
@@ -80,59 +35,40 @@ func TestFusedChainMatchesSpec(t *testing.T) {
 	}
 }
 
-func TestHeadTailMultiEnv(t *testing.T) {
-	forests := []xmltree.Forest{
-		{xmltree.NewElement("a", xmltree.NewText("x")), xmltree.NewElement("b")},
-		nil,
-		{xmltree.NewText("only")},
-	}
-	rel := &interval.Relation{}
-	for i, f := range forests {
-		enc := interval.Encode(f)
-		for _, tp := range enc.Tuples {
-			rel.Tuples = append(rel.Tuples, interval.Tuple{
-				S: tp.S,
-				L: append(interval.Key{int64(i)}, tp.L...),
-				R: append(interval.Key{int64(i)}, tp.R...),
-			})
-		}
-	}
-	head := Materialize(NewHead(NewScan(rel), 1))
-	want := engine.Head(rel, 1)
-	if len(head.Tuples) != len(want.Tuples) {
-		t.Fatalf("head %d tuples, want %d", len(head.Tuples), len(want.Tuples))
-	}
-	tail := Materialize(NewTail(NewScan(rel), 1))
-	wantTail := engine.Tail(rel, 1)
-	if len(tail.Tuples) != len(wantTail.Tuples) {
-		t.Fatalf("tail %d tuples, want %d", len(tail.Tuples), len(wantTail.Tuples))
-	}
-	if head.Len()+tail.Len() != rel.Len() {
-		t.Fatal("head/tail do not partition the input")
-	}
-}
-
 func TestCountTrees(t *testing.T) {
 	f, _ := xmltree.Parse(`<a><b/></a><c/><d>x</d>`)
 	rel := interval.Encode(f)
-	if got := CountTrees(NewScan(rel)); got != 3 {
-		t.Errorf("CountTrees = %d, want 3", got)
+	for _, bs := range []int{1, 2, DefaultBatchSize} {
+		if got := CountTreesBatches(NewRelationBatches(rel, bs)); got != 3 {
+			t.Errorf("batch=%d: CountTreesBatches = %d, want 3", bs, got)
+		}
 	}
-	if got := CountTrees(NewScan(&interval.Relation{})); got != 0 {
-		t.Errorf("CountTrees(empty) = %d", got)
+	if got := CountTreesBatches(NewRelationBatches(&interval.Relation{}, 0)); got != 0 {
+		t.Errorf("CountTreesBatches(empty) = %d", got)
 	}
 }
 
+// TestScanExhaustion pins the end-of-input contract of the batch sources:
+// once Next reports exhaustion it keeps reporting it.
 func TestScanExhaustion(t *testing.T) {
 	rel := interval.Encode(xmltree.Forest{xmltree.NewText("x")})
-	s := NewScan(rel)
-	if _, ok := s.Next(); !ok {
-		t.Fatal("first Next should succeed")
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("second Next should report exhaustion")
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("Next after exhaustion should keep reporting false")
+	var ranges RangeBatches
+	ranges.Init(rel, [][2]int32{{0, 1}}, 8, nil)
+	for _, src := range []struct {
+		name string
+		b    Batch
+	}{
+		{"relation", NewRelationBatches(rel, 8)},
+		{"flat", NewFlatBatches(interval.FlatOf(rel), 8)},
+		{"ranges", &ranges},
+	} {
+		if f, ok := src.b.Next(); !ok || f.Len() != 1 {
+			t.Fatalf("%s: first Next should yield the one row", src.name)
+		}
+		for i := 0; i < 2; i++ {
+			if _, ok := src.b.Next(); ok {
+				t.Fatalf("%s: Next after the last chunk should report exhaustion", src.name)
+			}
+		}
 	}
 }

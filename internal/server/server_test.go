@@ -299,8 +299,6 @@ func TestPlanCacheKeyIncludesOptions(t *testing.T) {
 	distinct := []QueryRequest{
 		base,
 		{Query: "q", Engine: "di-nlj"},
-		{Query: "q", Engine: "di-msj", LegacyKeys: true},
-		{Query: "q", Engine: "di-msj", NoPipeline: true},
 		{Query: "q", Engine: "di-msj", Parallelism: def + 1},
 		{Query: "q", Engine: "di-msj", Parallelism: def + 2},
 	}
@@ -374,11 +372,11 @@ func TestPlanCacheOptionsEndToEnd(t *testing.T) {
 		return *out.Stats
 	}
 	run(QueryRequest{Query: query})
-	if st := run(QueryRequest{Query: query, NoPipeline: true}); st.PlanCacheMiss != 2 {
-		t.Fatalf("no_pipeline request should miss: %d misses", st.PlanCacheMiss)
+	if st := run(QueryRequest{Query: query, Parallelism: exec.Resolve(0) + 1}); st.PlanCacheMiss != 2 {
+		t.Fatalf("parallelism request should miss: %d misses", st.PlanCacheMiss)
 	}
-	if st := run(QueryRequest{Query: query, LegacyKeys: true}); st.PlanCacheMiss != 3 {
-		t.Fatalf("legacy_keys request should miss: %d misses", st.PlanCacheMiss)
+	if st := run(QueryRequest{Query: query, Engine: "di-nlj"}); st.PlanCacheMiss != 3 {
+		t.Fatalf("engine request should miss: %d misses", st.PlanCacheMiss)
 	}
 	if st := run(QueryRequest{Query: query}); st.PlanCacheHits != 1 {
 		t.Fatalf("repeat of the first request should hit: %d hits", st.PlanCacheHits)
