@@ -27,13 +27,14 @@ func scrubAnalyze(s string) string {
 }
 
 // TestAnalyzeGoldenPlans locks the analyze-mode plan renderings for the
-// paper's three benchmark queries under both forced join modes and the
-// cost-based optimizer (fed real statistics): the plan shape, the static
-// annotations — including the optimizer's per-operator row estimates —
-// and the per-operator calls/rows actuals. A diff here means the
-// compiler, the optimizer's costing, the executor's dispatch, or the
-// instrumentation changed — regenerate with `go test -run Golden -update`
-// and review the diff consciously.
+// paper's three benchmark queries and a sample of the other XMark queries
+// under both forced join modes and the cost-based optimizer (fed real
+// statistics): the plan shape, the static annotations — including the
+// optimizer's per-operator row estimates — and the per-operator
+// calls/rows actuals. A diff here means the compiler, the optimizer's
+// costing, the executor's dispatch, or the instrumentation changed —
+// regenerate with `go test -run Golden -update` and review the diff
+// consciously.
 func TestAnalyzeGoldenPlans(t *testing.T) {
 	cat, _ := generatedCatalog(0.0005, 20030609)
 	queries := []struct {
@@ -49,6 +50,9 @@ func TestAnalyzeGoldenPlans(t *testing.T) {
 		{"q3", xmark.Q3},
 		{"q5", xmark.Q5},
 		{"q19", xmark.Q19},
+		// q11 locks loop-invariant code motion: the income of $p is bound
+		// once per person around the $i loop and embedded as a value.
+		{"q11", xmark.Q11},
 	}
 	modes := []struct {
 		name  string

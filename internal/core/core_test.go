@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"dixq/internal/engine"
+	"dixq/internal/index"
 	"dixq/internal/interp"
 	"dixq/internal/interval"
+	"dixq/internal/plan"
+	"dixq/internal/stats"
 	"dixq/internal/update"
 	"dixq/internal/xmark"
 	"dixq/internal/xmltree"
@@ -204,6 +207,218 @@ func TestHoistDeduplicates(t *testing.T) {
 	}
 	if lets != 1 {
 		t.Errorf("hoisted %d lets, want 1 (identical paths shared)", lets)
+	}
+}
+
+// hoistDoc is a small nested document for the code-motion tests: every
+// path the cases below navigate exists, so a misplaced binding changes the
+// answer rather than hiding behind an empty one.
+const hoistDoc = `<a><b><c><d><h>1</h></d><g>2</g></c><f>3</f><k>x</k></b>` +
+	`<b><k>y</k><c><g>4</g></c></b><e>5</e><k>x</k><c>6</c><name>n</name><z>7</z></a>`
+
+// TestHoistPlacement pins where loop-invariant code motion binds each
+// expression: around the innermost for at the level of its deepest free
+// variable, never above a where whose body it sits in, and inside the
+// scope of every variable it uses. Each rewrite must also evaluate to the
+// interpreter's answer on the original expression.
+func TestHoistPlacement(t *testing.T) {
+	doc, err := xmltree.Parse(hoistDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := EncodeCatalog(map[string]xmltree.Forest{"d": doc})
+	icat := interp.Catalog{"d": doc}
+	cases := []struct {
+		name, query, want string
+	}{
+		{
+			// $w, $x and $y live at levels 1, 2 and 3; each path binds
+			// around the loop one level deeper than its variable.
+			"levels 1-3",
+			`for $w in document("d")/a return for $x in $w/b return for $y in $x/c return for $z in $y/d return ($z/h, $y/g, $x/f, $w/e)`,
+			`let $#hoist1 := select("<a>", document("d")) return for $w in $#hoist1 return ` +
+				`let $#hoist4 := select("<e>", children($w)) return for $x in select("<b>", children($w)) return ` +
+				`let $#hoist3 := select("<f>", children($x)) return for $y in select("<c>", children($x)) return ` +
+				`let $#hoist2 := select("<g>", children($y)) return for $z in select("<d>", children($y)) return ` +
+				`concat(concat(concat(select("<h>", children($z)), $#hoist2), $#hoist3), $#hoist4)`,
+		},
+		{
+			// Text-equal expressions with one home share a binding; the
+			// same text around another loop gets its own.
+			"sharing",
+			`for $x in document("d")/a return (for $y in $x/b where $y/k = $x/k or $y/c = $x/k return ($x/c, $y, $x/c), for $z in $x/e return $x/c)`,
+			`let $#hoist1 := select("<a>", document("d")) return for $x in $#hoist1 return concat(` +
+				`let $#hoist2 := data(select("<k>", children($x))) return for $y in select("<b>", children($x)) return ` +
+				`where ((data(select("<k>", children($y))) = $#hoist2) or (data(select("<c>", children($y))) = $#hoist2)) return ` +
+				`concat(concat(select("<c>", children($x)), $y), select("<c>", children($x))), ` +
+				`let $#hoist3 := select("<c>", children($x)) return for $z in select("<e>", children($x)) return $#hoist3)`,
+		},
+		{
+			// A top-level let variable is level 0 but not a document: its
+			// paths bind inside the let's scope, around the loop.
+			"top-level let",
+			`let $v := document("d")/a return for $x in $v/b return ($v/c, $x)`,
+			`let $#hoist1 := select("<a>", document("d")) return let $v := $#hoist1 return ` +
+				`let $#hoist2 := select("<c>", children($v)) return for $x in select("<b>", children($v)) return concat($#hoist2, $x)`,
+		},
+		{
+			// A positional variable has its for variable's level.
+			"at variable",
+			`for $x at $i in document("d")/a/b return for $y in $x/c return ($i + 1, $y)`,
+			`let $#hoist1 := select("<b>", children(select("<a>", document("d")))) return for $x at $i in $#hoist1 return ` +
+				`let $#hoist2 := (data($i) + const(1)) return for $y in select("<c>", children($x)) return concat($#hoist2, $y)`,
+		},
+		{
+			// The inner $x shadows the outer one, so $x/c depends on the
+			// inner loop and stays inside it.
+			"shadowing",
+			`for $x in document("d")/a return for $x in $x/b return $x/c`,
+			`let $#hoist1 := select("<a>", document("d")) return for $x in $#hoist1 return ` +
+				`for $x in select("<b>", children($x)) return select("<c>", children($x))`,
+		},
+		{
+			// The condition's outer key is lifted; the where body's
+			// $x/name stays, since there it runs only for the matches.
+			// Document paths are bound once for the whole query wherever
+			// they occur.
+			"where body",
+			`for $x in document("d")/a return for $y in $x/b where $y/k = $x/k return ($x/name, document("d")/z)`,
+			`let $#hoist1 := select("<a>", document("d")) return let $#hoist3 := select("<z>", document("d")) return ` +
+				`for $x in $#hoist1 return let $#hoist2 := data(select("<k>", children($x))) return ` +
+				`for $y in select("<b>", children($x)) return where (data(select("<k>", children($y))) = $#hoist2) return ` +
+				`concat(select("<name>", children($x)), $#hoist3)`,
+		},
+		{
+			// A loop inside a where body still gets its invariants bound
+			// around it, below the where.
+			"loop in where body",
+			`for $x in document("d")/a where $x/k return for $y in $x/b return ($x/c, $y)`,
+			`let $#hoist1 := select("<a>", document("d")) return for $x in $#hoist1 return ` +
+				`where not(empty(select("<k>", children($x)))) return ` +
+				`let $#hoist2 := select("<c>", children($x)) return for $y in select("<b>", children($x)) return concat($#hoist2, $y)`,
+		},
+		{
+			// Inside a document-only top binding, documents count as level
+			// 0: the loops there bind their own invariants, and a path that
+			// moves out of the inner loop moves again out of the outer one.
+			"inside a top binding",
+			`<r>{for $x in document("d")/a return for $y in $x/b return ($x/c, document("d")/a/k)}</r>`,
+			`let $#hoist3 := let $#hoist1 := select("<k>", children(select("<a>", document("d")))) return ` +
+				`for $x in select("<a>", document("d")) return ` +
+				`let $#hoist2 := concat(select("<c>", children($x)), $#hoist1) return ` +
+				`for $y in select("<b>", children($x)) return $#hoist2 return node("<r>", $#hoist3)`,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := xq.MustParse(c.query)
+			q := Compile(e, Options{})
+			if got := HoistInvariants(e).String(); got != c.want {
+				t.Errorf("rewrite\n got %s\nwant %s", got, c.want)
+			}
+			literal := Compile(e, Options{NoRewrites: true})
+			if literal.Expr.String() != e.String() {
+				t.Errorf("NoRewrites changed the expression: %s", literal.Expr)
+			}
+			want, err := interp.Eval(e, nil, icat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("degenerate case (empty result)")
+			}
+			for _, mode := range []Mode{ModeMSJ, ModeNLJ} {
+				got, err := q.EvalForest(cat, Options{ForceJoinMode: mode})
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s: got %s, want %s", mode, got.String(), want.String())
+				}
+			}
+		})
+	}
+}
+
+// TestRewritesMatchLiteralOnXMark is the rewrite oracle over the whole
+// suite: the rewritten and the literal (NoRewrites) compilation of every
+// XMark query give equal forests under both forced join modes and the
+// cost-based optimizer, with statistics and indexes attached. It also
+// checks the plan shapes the code motion exists for: Q11/Q12 no longer
+// embed the person subtree into the auction loop, and Q8/Q9 keep their
+// merge joins and the optimizer's join-algorithm decisions.
+func TestRewritesMatchLiteralOnXMark(t *testing.T) {
+	cat, _ := generatedCatalog(0.001, 20030609)
+	st, ix := stats.CollectSet(cat), index.BuildSet(cat)
+	modes := []Mode{ModeMSJ, ModeNLJ, ModeAuto}
+	wantMSJ := map[string]map[Mode]int{
+		"Q8": {ModeMSJ: 1, ModeNLJ: 0, ModeAuto: 1},
+		"Q9": {ModeMSJ: 2, ModeNLJ: 0, ModeAuto: 2},
+	}
+	wantDecisions := map[string]string{
+		"Q8": "$t=merge-join",
+		"Q9": "$t=merge-join $t2=merge-join",
+	}
+	// embedsPerson reports whether a plan copies $p from depth 1 into a
+	// depth-2 environment.
+	embedsPerson := func(p *plan.Node) bool {
+		found := false
+		plan.Walk(p, func(n *plan.Node) {
+			if n.Op == plan.OpEmbedOuter && n.Label == "p" && n.FromDepth == 1 && n.Depth == 2 {
+				found = true
+			}
+		})
+		return found
+	}
+	for _, xqq := range xmark.All {
+		e := xq.MustParse(xqq.Text)
+		rewritten, literal := Compile(e, Options{}), Compile(e, Options{NoRewrites: true})
+		for _, mode := range modes {
+			opts := Options{ForceJoinMode: mode, DocStats: st, Indexes: ix}
+			want, err := literal.EvalForest(cat, opts)
+			if err != nil {
+				t.Fatalf("%s %s literal: %v", xqq.Name, mode, err)
+			}
+			got, err := rewritten.EvalForest(cat, opts)
+			if err != nil {
+				t.Fatalf("%s %s rewritten: %v", xqq.Name, mode, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s %s: rewritten plan disagrees with the literal one:\n got %s\nwant %s",
+					xqq.Name, mode, got.String(), want.String())
+			}
+			switch xqq.Name {
+			case "Q11", "Q12":
+				if embedsPerson(rewritten.Plan(opts)) {
+					t.Errorf("%s %s: rewritten plan still embeds $p into depth 2", xqq.Name, mode)
+				}
+				if mode == ModeNLJ && !embedsPerson(literal.Plan(opts)) {
+					t.Errorf("%s: the literal plan should embed $p into depth 2 (check is vacuous)", xqq.Name)
+				}
+			case "Q8", "Q9":
+				msj := 0
+				plan.Walk(rewritten.Plan(opts), func(n *plan.Node) {
+					if n.Op == plan.OpMSJ {
+						msj++
+					}
+				})
+				if msj != wantMSJ[xqq.Name][mode] {
+					t.Errorf("%s %s: %d merge joins, want %d", xqq.Name, mode, msj, wantMSJ[xqq.Name][mode])
+				}
+				if mode != ModeAuto {
+					continue
+				}
+				var ds []string
+				for _, d := range rewritten.OptReport(opts).Decisions {
+					if d.Kind == "join-algorithm" {
+						ds = append(ds, d.Loop+"="+d.Choice)
+					}
+				}
+				if got := strings.Join(ds, " "); got != wantDecisions[xqq.Name] {
+					t.Errorf("%s: join decisions %q, want %q", xqq.Name, got, wantDecisions[xqq.Name])
+				}
+			}
+		}
 	}
 }
 

@@ -20,6 +20,9 @@ func FuzzEndToEnd(f *testing.F) {
 		`for $x at $i in document("d") order by $x descending return ($i, $x)`,
 		`if (some $v in document("d") satisfies contains($v, "x")) then "y" else sort(document("d"))`,
 		`declare function f($v) { $v/b }; f(document("d"))`,
+		// Q11's shape: an outer attribute compared with inner arithmetic,
+		// the outer side invariant in the inner loop.
+		`for $x in document("d")/a let $l := for $y in document("d")//b where $x/@x > 0.5 * count($y) return $y where not(empty($l)) return <m>{count($l)}</m>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

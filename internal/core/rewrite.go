@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dixq/internal/index"
@@ -10,39 +11,78 @@ import (
 	"dixq/internal/xq"
 )
 
-// HoistInvariants lifts maximal subexpressions that depend only on input
-// documents out of the expression into let bindings at the top, so that
-// path extraction over a document runs once rather than once per loop
-// iteration. Identical subexpressions share a single binding. The rewrite
-// is semantics-preserving: the hoisted expressions are pure and total.
+// HoistInvariants is loop-invariant code motion: it evaluates every
+// maximal subexpression once, at the loop level of its deepest free
+// variable, instead of once per iteration of the loops it sits in.
 //
-// This is the plan behaviour the paper's Figure 10 implies: even the
-// DI-NLJ plan pays the path-extraction cost only once (a small, roughly
-// constant fraction), while the join dominates.
+// Each binder has a loop level. Documents are level 0, a for variable
+// (and its positional variable) is one deeper than the level its for
+// occurs at, and a let variable is the level of its let. An expression
+// whose deepest free variable is at level t but which occurs deeper is
+// replaced by a fresh variable, bound by a let that wraps the innermost
+// for occurring at level t around it; the value then reaches the inner
+// loops by the ordinary environment embedding, as one value per outer
+// environment instead of the outer variables it was computed from.
+// Expressions that depend on documents alone are bound once around the
+// whole query. Text-equal expressions with the same home share one
+// binding.
+//
+// Nothing moves out of a where's body to a level above the where, because
+// there it runs only for the environments that pass the condition (document
+// paths excepted: they are bound once for the whole query anyway). The
+// rewrite is semantics-preserving: the hoisted expressions are pure and
+// total.
+//
+// At level 0 this is the plan behaviour the paper's Figure 10 implies:
+// even the DI-NLJ plan pays the path-extraction cost only once (a small,
+// roughly constant fraction), while the join dominates.
 func HoistInvariants(e xq.Expr) xq.Expr {
-	h := &hoister{bindings: map[string]string{}}
-	body := h.rewriteChildren(e)
-	for i := len(h.order) - 1; i >= 0; i-- {
-		body = xq.Let{Var: h.bindings[h.order[i]], Value: h.exprs[h.order[i]], Body: body}
+	h := &hoister{levels: map[string]int{}}
+	return h.top.wrap(h.children(e, 0))
+}
+
+type hoister struct {
+	levels map[string]int // visible variable -> loop level of its binder
+	// frames[t] collects the bindings for the for occurring at level t whose
+	// body is being rewritten; len(frames) is the current level.
+	frames []*hoistFrame
+	top    hoistFrame // document-only bindings, around the whole query
+	// inTop is set while rewriting the value of a top binding: documents
+	// then count as level-0 variables, so loops inside that value get their
+	// own invariants bound around them.
+	inTop bool
+	n     int
+}
+
+// hoistFrame is the set of let bindings wrapped around one expression.
+type hoistFrame struct {
+	names map[string]string // expression text -> generated variable
+	binds []xq.Let          // Var and Value only, outermost first
+}
+
+func (f *hoistFrame) wrap(body xq.Expr) xq.Expr {
+	for i := len(f.binds) - 1; i >= 0; i-- {
+		body = xq.Let{Var: f.binds[i].Var, Value: f.binds[i].Value, Body: body}
 	}
 	return body
 }
 
-type hoister struct {
-	bindings map[string]string // expression text -> generated variable
-	exprs    map[string]xq.Expr
-	order    []string
-	n        int
-}
-
-// hoistable reports whether an expression depends only on documents.
-func hoistable(e xq.Expr) bool {
+// target returns the level of e's deepest free variable, whether e depends
+// on documents alone, and false if some free variable is unbound.
+func (h *hoister) target(e xq.Expr) (t int, docOnly, ok bool) {
+	docOnly = true
 	for name := range xq.FreeVars(e) {
-		if !strings.HasPrefix(name, "doc:") {
-			return false
+		if strings.HasPrefix(name, "doc:") {
+			continue
 		}
+		lvl, bound := h.levels[name]
+		if !bound {
+			return 0, false, false
+		}
+		docOnly = false
+		t = max(t, lvl)
 	}
-	return true
+	return t, docOnly, true
 }
 
 // worthHoisting excludes the trivial cases where a binding buys nothing.
@@ -55,73 +95,190 @@ func worthHoisting(e xq.Expr) bool {
 	}
 }
 
-// rewrite replaces maximal hoistable subexpressions with fresh variables.
-// The root expression itself is never replaced (hoisting the whole query
-// would be pointless); rewriteChildren recurses past it.
-func (h *hoister) rewrite(e xq.Expr) xq.Expr {
-	if hoistable(e) && worthHoisting(e) {
-		return xq.Var{Name: h.bind(e)}
+// expr replaces e by a variable when it is invariant in the loop it occurs
+// in, and otherwise rewrites its subexpressions. floor is the level of the
+// innermost enclosing where body; no binding moves above it.
+func (h *hoister) expr(e xq.Expr, floor int) xq.Expr {
+	// Inside a top binding only the level rule applies, and it needs a loop
+	// level at or above floor to bind at: skip the free-variable scan where
+	// it cannot fire.
+	if worthHoisting(e) && (!h.inTop || floor < len(h.frames)) {
+		if t, docOnly, ok := h.target(e); ok {
+			if docOnly && !h.inTop {
+				return xq.Var{Name: h.bindTop(e)}
+			}
+			if t < len(h.frames) && t >= floor {
+				return xq.Var{Name: h.bindAt(t, e, floor)}
+			}
+		}
 	}
-	return h.rewriteChildren(e)
+	return h.children(e, floor)
 }
 
-func (h *hoister) rewriteChildren(e xq.Expr) xq.Expr {
+// children rewrites e's subexpressions; e itself stays where it is.
+func (h *hoister) children(e xq.Expr, floor int) xq.Expr {
 	switch e := e.(type) {
 	case xq.Var, xq.Doc, xq.Const:
 		return e
 	case xq.Call:
 		args := make([]xq.Expr, len(e.Args))
 		for i, a := range e.Args {
-			args[i] = h.rewrite(a)
+			args[i] = h.expr(a, floor)
 		}
 		return xq.Call{Fn: e.Fn, Label: e.Label, Args: args}
 	case xq.Let:
-		return xq.Let{Var: e.Var, Value: h.rewrite(e.Value), Body: h.rewrite(e.Body)}
+		value := h.expr(e.Value, floor)
+		saved := h.setLevel(e.Var, len(h.frames))
+		body := h.expr(e.Body, floor)
+		h.restoreLevel(saved)
+		return xq.Let{Var: e.Var, Value: value, Body: body}
 	case xq.For:
-		return xq.For{Var: e.Var, Pos: e.Pos, Domain: h.rewrite(e.Domain), Body: h.rewrite(e.Body)}
+		domain := h.expr(e.Domain, floor)
+		level := len(h.frames)
+		f := &hoistFrame{}
+		h.frames = append(h.frames, f)
+		savedVar := h.setLevel(e.Var, level+1)
+		savedPos := h.setLevel(e.Pos, level+1)
+		body := h.expr(e.Body, floor)
+		h.restoreLevel(savedPos)
+		h.restoreLevel(savedVar)
+		h.frames = h.frames[:level]
+		return f.wrap(xq.For{Var: e.Var, Pos: e.Pos, Domain: domain, Body: body})
 	case xq.Where:
-		return xq.Where{Cond: h.rewriteCond(e.Cond), Body: h.rewrite(e.Body)}
+		return xq.Where{Cond: h.cond(e.Cond, floor), Body: h.expr(e.Body, len(h.frames))}
 	default:
 		panic(fmt.Sprintf("core: unknown expression %T", e))
 	}
 }
 
-func (h *hoister) rewriteCond(c xq.Cond) xq.Cond {
+// savedLevel is a variable's level before a binder shadowed it.
+type savedLevel struct {
+	name string
+	lvl  int
+	had  bool
+}
+
+// setLevel binds name at level, returning what to restore; an empty name
+// (a for without a positional variable) binds nothing.
+func (h *hoister) setLevel(name string, level int) savedLevel {
+	if name == "" {
+		return savedLevel{}
+	}
+	lvl, had := h.levels[name]
+	h.levels[name] = level
+	return savedLevel{name, lvl, had}
+}
+
+func (h *hoister) restoreLevel(s savedLevel) {
+	switch {
+	case s.name == "":
+	case s.had:
+		h.levels[s.name] = s.lvl
+	default:
+		delete(h.levels, s.name)
+	}
+}
+
+func (h *hoister) cond(c xq.Cond, floor int) xq.Cond {
 	switch c := c.(type) {
 	case xq.Equal:
-		return xq.Equal{L: h.rewrite(c.L), R: h.rewrite(c.R)}
+		return xq.Equal{L: h.expr(c.L, floor), R: h.expr(c.R, floor)}
 	case xq.Less:
-		return xq.Less{L: h.rewrite(c.L), R: h.rewrite(c.R)}
+		return xq.Less{L: h.expr(c.L, floor), R: h.expr(c.R, floor)}
 	case xq.CmpVal:
-		return xq.CmpVal{L: h.rewrite(c.L), R: h.rewrite(c.R)}
+		return xq.CmpVal{L: h.expr(c.L, floor), R: h.expr(c.R, floor)}
 	case xq.Empty:
-		return xq.Empty{E: h.rewrite(c.E)}
+		return xq.Empty{E: h.expr(c.E, floor)}
 	case xq.Contains:
-		return xq.Contains{L: h.rewrite(c.L), R: h.rewrite(c.R)}
+		return xq.Contains{L: h.expr(c.L, floor), R: h.expr(c.R, floor)}
 	case xq.Not:
-		return xq.Not{C: h.rewriteCond(c.C)}
+		return xq.Not{C: h.cond(c.C, floor)}
 	case xq.And:
-		return xq.And{L: h.rewriteCond(c.L), R: h.rewriteCond(c.R)}
+		return xq.And{L: h.cond(c.L, floor), R: h.cond(c.R, floor)}
 	case xq.Or:
-		return xq.Or{L: h.rewriteCond(c.L), R: h.rewriteCond(c.R)}
+		return xq.Or{L: h.cond(c.L, floor), R: h.cond(c.R, floor)}
 	default:
 		panic(fmt.Sprintf("core: unknown condition %T", c))
 	}
 }
 
-func (h *hoister) bind(e xq.Expr) string {
+// bindTop binds a document-only expression around the whole query. Its
+// value is rewritten at level 0, so loops inside it hoist their own
+// invariants.
+func (h *hoister) bindTop(e xq.Expr) string {
+	frames := h.frames
+	h.frames, h.inTop = nil, true
+	defer func() { h.frames, h.inTop = frames, false }()
+	return h.bind(&h.top, e, 0, hasLoop(e))
+}
+
+// hasLoop reports whether e contains a for. Without one, rewriting the
+// value of a top binding cannot bind anything, so bindTop keeps it as is.
+func hasLoop(e xq.Expr) bool {
+	switch e := e.(type) {
+	case xq.For:
+		return true
+	case xq.Call:
+		return slices.ContainsFunc(e.Args, hasLoop)
+	case xq.Let:
+		return hasLoop(e.Value) || hasLoop(e.Body)
+	case xq.Where:
+		return condHasLoop(e.Cond) || hasLoop(e.Body)
+	default:
+		return false
+	}
+}
+
+func condHasLoop(c xq.Cond) bool {
+	switch c := c.(type) {
+	case xq.Equal:
+		return hasLoop(c.L) || hasLoop(c.R)
+	case xq.Less:
+		return hasLoop(c.L) || hasLoop(c.R)
+	case xq.CmpVal:
+		return hasLoop(c.L) || hasLoop(c.R)
+	case xq.Contains:
+		return hasLoop(c.L) || hasLoop(c.R)
+	case xq.Empty:
+		return hasLoop(c.E)
+	case xq.Not:
+		return condHasLoop(c.C)
+	case xq.And:
+		return condHasLoop(c.L) || condHasLoop(c.R)
+	case xq.Or:
+		return condHasLoop(c.L) || condHasLoop(c.R)
+	default:
+		return false
+	}
+}
+
+// bindAt binds e around the for occurring at level t that encloses it. Its
+// value is rewritten at its new home, so it may hoist further out.
+func (h *hoister) bindAt(t int, e xq.Expr, floor int) string {
+	frames := h.frames
+	h.frames = frames[:t:t]
+	defer func() { h.frames = frames }()
+	return h.bind(frames[t], e, floor, true)
+}
+
+// bind returns the variable bound to e in frame f, adding the binding if e
+// is new there; rewrite says whether e's subexpressions may move further.
+func (h *hoister) bind(f *hoistFrame, e xq.Expr, floor int, rewrite bool) string {
 	key := e.String()
-	if name, ok := h.bindings[key]; ok {
+	if name, ok := f.names[key]; ok {
 		return name
+	}
+	value := e
+	if rewrite {
+		value = h.children(e, floor)
 	}
 	h.n++
 	name := fmt.Sprintf("#hoist%d", h.n)
-	if h.exprs == nil {
-		h.exprs = map[string]xq.Expr{}
+	if f.names == nil {
+		f.names = map[string]string{}
 	}
-	h.bindings[key] = name
-	h.exprs[key] = e
-	h.order = append(h.order, key)
+	f.names[key] = name
+	f.binds = append(f.binds, xq.Let{Var: name, Value: value})
 	return name
 }
 

@@ -97,6 +97,28 @@ func Corpus() []Case {
 		{"xmark-dup-join", `for $x in document("auction.xml")/site/people/person/name
 		 for $y in document("auction.xml")/site/people/person/name
 		 where $x = $y return <m>{$x/text()}</m>`, true},
+		// Loop-invariant code motion: expressions over outer variables
+		// sitting two and three loops deep, a top-level let used inside a
+		// loop, a loop variable shadowed by an inner loop, and positional
+		// variables feeding arithmetic in an inner loop.
+		{"licm-depth3", `for $r in document("auction.xml")/site/regions/*
+		 for $i in $r/item
+		 for $d in $i/description/text
+		 return <m n="{count($r/item)}" q="{$i/quantity/text()}">{$i/name/text()}</m>`, true},
+		{"licm-join-depth3", `for $p in document("auction.xml")/site/people/person
+		 for $i in $p/profile/interest
+		 for $c in document("auction.xml")/site/categories/category
+		 where $c/@id = $i/@category and $p/profile/@income > 40000
+		 return <m>{$p/name/text()}{$c/name/text()}</m>`, true},
+		{"licm-top-let", `let $v := document("d")//b
+		 for $x in document("d")/a/*
+		 return <t n="{count($v)}">{$x/text()}</t>`, false},
+		{"licm-shadowed", `for $x in document("d")/a
+		 for $y in $x/*
+		 return (count($x/b), for $x in $y/b return <s n="{count($y/b)}">{$x/text()}</s>)`, false},
+		{"licm-positional", `for $x at $i in document("d")/a/*
+		 for $y at $j in $x/*
+		 return <p>{$i * 10 + $j}</p>`, false},
 	}
 }
 
